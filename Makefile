@@ -51,11 +51,12 @@ torture:
 # govern-torture runs the query-lifecycle governance suite under the race
 # detector: the cancellation storm (N readers canceled at random against a
 # writer, all three encodings), deadline aborts with goroutine-leak checks,
-# memory-budget and admission-shed paths, the degraded read-only transitions
-# (WAL append and page-write failures), and the streaming-cursor early-close
-# regression tests.
+# memory-budget and admission-shed paths, subtree publishing canceled, past
+# its deadline and over budget (no cursor left open), the degraded read-only
+# transitions (WAL append and page-write failures), and the streaming-cursor
+# early-close and metrics regression tests.
 govern-torture:
 	$(GO) test -race -count=1 -v -run \
-		'TestCancellationStorm|TestQueryDeadlineAborts|TestQueryCancellation|TestSessionQueryTimeout|TestMemoryBudgetAbortsQuery|TestAdmissionControlSheds|TestWALFailureDegradesToReadOnly|TestPageWriteFailureDegradesStore' .
+		'TestCancellationStorm|TestQueryDeadlineAborts|TestQueryCancellation|TestSessionQueryTimeout|TestMemoryBudgetAbortsQuery|TestSerializeGovernance|TestAdmissionControlSheds|TestWALFailureDegradesToReadOnly|TestPageWriteFailureDegradesStore' .
 	$(GO) test -race -count=1 -run 'TestQueryRows|TestQueryAborts' ./internal/sqldb/
 	$(GO) test -race -count=1 ./internal/govern/

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ordxml/internal/failpoint"
+	"ordxml/internal/xmlgen"
 )
 
 // Governance tests at the Store level: cancellation and deadlines, the
@@ -216,6 +217,87 @@ func TestCancellationStorm(t *testing.T) {
 			waitForGoroutines(t, base)
 			mustIntact(t, s)
 		})
+	}
+}
+
+// TestSerializeGovernance publishes a catalog region under a canceled
+// context, an expired deadline and a tiny memory budget, on every encoding,
+// memory and paged. Each must fail with its typed governance error, and no
+// publish — successful ones, whose Global stream stops early at the end of
+// the region, and failed ones — may leave a streaming cursor open.
+func TestSerializeGovernance(t *testing.T) {
+	catalog := xmlgen.Catalog(xmlgen.CatalogConfig{
+		Regions: 3, ItemsPerRegion: 60, KeywordsPerItem: 2, DescriptionWords: 8, Seed: 42,
+	}).String()
+	for _, enc := range []Encoding{Global, Local, Dewey} {
+		for _, paged := range []bool{false, true} {
+			name := enc.String() + "/memory"
+			if paged {
+				name = enc.String() + "/paged"
+			}
+			t.Run(name, func(t *testing.T) {
+				var s *Store
+				var err error
+				if paged {
+					s, err = OpenDurable(t.TempDir(), Options{Encoding: enc, BufferPoolFrames: 64})
+				} else {
+					s, err = Open(Options{Encoding: enc})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				doc, err := s.LoadString("catalog", catalog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits, err := s.Query(doc, "/site/regions/namerica")
+				if err != nil || len(hits) != 1 {
+					t.Fatalf("region lookup: %v, %v", hits, err)
+				}
+				region := hits[0].ID
+				base := runtime.NumGoroutine()
+				noOpenCursors := func(when string) {
+					t.Helper()
+					if n := s.Metrics().Gauges["sqldb.cursors.open"]; n != 0 {
+						t.Fatalf("%s: %d cursors left open", when, n)
+					}
+				}
+				want, err := s.Serialize(doc, region)
+				if err != nil {
+					t.Fatal(err)
+				}
+				noOpenCursors("after a successful publish")
+
+				canceled, cancel := context.WithCancel(context.Background())
+				cancel()
+				if _, err := s.SerializeCtx(canceled, doc, region); !errors.Is(err, ErrCanceled) {
+					t.Fatalf("canceled: want ErrCanceled, got %v", err)
+				}
+				noOpenCursors("after a canceled publish")
+
+				expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+				defer cancel()
+				if _, err := s.SerializeCtx(expired, doc, region); !errors.Is(err, ErrDeadlineExceeded) {
+					t.Fatalf("deadline: want ErrDeadlineExceeded, got %v", err)
+				}
+				noOpenCursors("after a publish past its deadline")
+
+				s.SetMemoryBudget(16 * 1024)
+				if _, err := s.Serialize(doc, region); !errors.Is(err, ErrMemoryBudget) {
+					t.Fatalf("budget: want ErrMemoryBudget, got %v", err)
+				}
+				noOpenCursors("after a publish over its memory budget")
+				s.SetMemoryBudget(0)
+
+				got, err := s.Serialize(doc, region)
+				if err != nil || got != want {
+					t.Fatalf("publish after the failures differs: %v", err)
+				}
+				noOpenCursors("after the final publish")
+				waitForGoroutines(t, base)
+			})
+		}
 	}
 }
 

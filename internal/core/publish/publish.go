@@ -5,10 +5,14 @@
 //   - Global and Dewey: one index scan in order-key order yields the
 //     document in pre-order; the tree is rebuilt with a single pass.
 //   - Local: sibling order is only meaningful per parent, so the publisher
-//     fetches all rows and sorts each sibling group (or, for subtrees,
-//     descends with one indexed child query per element).
-//   - Subtrees: Dewey extracts a subtree with a single path-prefix range
-//     scan; Global and Local must recurse through parent links.
+//     fetches all rows and sorts each sibling group.
+//   - Subtrees: a subtree is one contiguous interval of document order.
+//     Dewey bounds it with a path-prefix range scan. Global streams the
+//     order index from the root's key and stops at the first row whose
+//     parent lies outside the subtree — in pre-order, exactly the first
+//     node after it. Local has no document order to scan, so it fetches the
+//     subtree one tree level at a time with a parent IN (...) statement per
+//     level (per localChunk parents of that level).
 package publish
 
 import (
@@ -32,10 +36,17 @@ type Publisher struct {
 
 	allOrdered *sqldb.Stmt // doc rows in order-key order (global/dewey)
 	allRows    *sqldb.Stmt // doc rows unordered (local)
-	children   *sqldb.Stmt // rows under one parent in sibling order
 	byID       *sqldb.Stmt
 	pathRange  *sqldb.Stmt // dewey subtree range
+	levelRows  *sqldb.Stmt // local: children of localChunk parents, by parent and sibling order
+	fromKey    string      // global: doc rows from one order key on, in order (streamed)
 }
+
+// localChunk is the number of parent ids one Local level statement binds.
+// The placeholder list has this fixed length — a short chunk repeats one of
+// its ids — so the statement text, and with it the plan-cache entry, never
+// varies.
+const localChunk = 64
 
 // New prepares a publisher for the encoding.
 func New(db *sqldb.DB, opts encoding.Options) (*Publisher, error) {
@@ -57,15 +68,20 @@ func New(db *sqldb.DB, opts encoding.Options) (*Publisher, error) {
 		`SELECT %s FROM %s WHERE doc = ?`, cols, tbl)); err != nil {
 		return nil, err
 	}
-	if p.children, err = db.Prepare(sqlgen.SQL(
-		`SELECT %s FROM %s WHERE doc = ? AND parent = ? ORDER BY %s`, cols, tbl, ord)); err != nil {
-		return nil, err
-	}
 	if p.byID, err = db.Prepare(sqlgen.SQL(
 		`SELECT %s FROM %s WHERE doc = ? AND id = ?`, cols, tbl)); err != nil {
 		return nil, err
 	}
-	if opts.Kind == encoding.Dewey {
+	switch opts.Kind {
+	case encoding.Global:
+		p.fromKey = sqlgen.SQL(`SELECT %s FROM %s WHERE doc = ? AND %s >= ? ORDER BY %s`, cols, tbl, ord, ord)
+	case encoding.Local:
+		if p.levelRows, err = db.Prepare(sqlgen.SQL(
+			`SELECT %s FROM %s WHERE doc = ? AND parent IN (%s) ORDER BY parent, %s`,
+			cols, tbl, sqlgen.Placeholders(localChunk), ord)); err != nil {
+			return nil, err
+		}
+	case encoding.Dewey:
 		if p.pathRange, err = db.Prepare(sqlgen.SQL(
 			`SELECT %s FROM %s WHERE doc = ? AND %s >= ? AND %s < ? ORDER BY %s`,
 			cols, tbl, ord, ord, ord)); err != nil {
@@ -154,35 +170,54 @@ func (p *Publisher) DocumentCtx(ctx context.Context, snap *sqldb.Snap, doc int64
 	return buildPreOrder(res.Rows, 0)
 }
 
+// preOrder links rows arriving in document (pre-)order into a tree: the
+// first row is the root, every later row hangs under an element already
+// linked.
+type preOrder struct {
+	root  *xmltree.Node
+	elems map[int64]*xmltree.Node // linked elements by id: the possible parents
+}
+
+// add links one row. It reports false, linking nothing, when the row's
+// parent is not in the tree yet.
+func (b *preOrder) add(nr nodeRow) bool {
+	n := nr.toNode()
+	if b.root == nil {
+		b.root = n
+		b.elems = map[int64]*xmltree.Node{}
+	} else {
+		parent, ok := b.elems[nr.parent]
+		if !ok {
+			return false
+		}
+		attach(parent, n)
+	}
+	if nr.kind == xmltree.Element {
+		b.elems[nr.id] = n
+	}
+	return true
+}
+
 // buildPreOrder rebuilds a tree from rows sorted in document (pre-)order.
 // rootParent identifies the parent id that marks the subtree root row.
 func buildPreOrder(rows []sqltypes.Row, rootParent int64) (*xmltree.Node, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("no rows to publish")
 	}
-	byID := make(map[int64]*xmltree.Node, len(rows))
-	var root *xmltree.Node
+	var b preOrder
 	for i, r := range rows {
 		nr, err := decodeRow(r)
 		if err != nil {
 			return nil, err
 		}
-		n := nr.toNode()
-		byID[nr.id] = n
-		if i == 0 {
-			if nr.parent != rootParent && rootParent != 0 {
-				return nil, fmt.Errorf("subtree root mismatch: row parent %d", nr.parent)
-			}
-			root = n
-			continue
+		if i == 0 && nr.parent != rootParent && rootParent != 0 {
+			return nil, fmt.Errorf("subtree root mismatch: row parent %d", nr.parent)
 		}
-		parent, ok := byID[nr.parent]
-		if !ok {
+		if !b.add(nr) {
 			return nil, fmt.Errorf("row %d arrived before its parent %d (order key corrupt?)", nr.id, nr.parent)
 		}
-		attach(parent, n)
 	}
-	return root, nil
+	return b.root, nil
 }
 
 // documentLocal rebuilds from the local encoding: one unordered scan, then a
@@ -245,6 +280,12 @@ func (p *Publisher) SubtreeAt(snap *sqldb.Snap, doc, id int64) (*xmltree.Node, e
 
 // SubtreeCtx is SubtreeAt with a caller context (see DocumentCtx).
 func (p *Publisher) SubtreeCtx(ctx context.Context, snap *sqldb.Snap, doc, id int64) (*xmltree.Node, error) {
+	// A subtree takes a handful of statements, most of them too small to
+	// reach the executor's poll interval, so the publisher checks the
+	// context itself: here and once per Local level.
+	if err := govern.CtxErr(ctx); err != nil {
+		return nil, err
+	}
 	if snap == nil {
 		snap = p.db.Snapshot()
 	}
@@ -259,40 +300,98 @@ func (p *Publisher) SubtreeCtx(ctx context.Context, snap *sqldb.Snap, doc, id in
 	if err != nil {
 		return nil, err
 	}
-	if p.opts.Kind == encoding.Dewey {
+	switch p.opts.Kind {
+	case encoding.Global:
+		return p.subtreeGlobal(ctx, snap, doc, rootRow)
+	case encoding.Local:
+		return p.subtreeLocal(ctx, snap, doc, rootRow)
+	case encoding.Dewey:
 		return p.subtreeDewey(ctx, snap, doc, rootRow)
+	default:
+		return nil, fmt.Errorf("unknown encoding %s", p.opts.Kind)
 	}
-	// Global and Local: recurse through the (doc, parent, order) index —
-	// there is no single range containing exactly the subtree.
-	node := rootRow.toNode()
-	if err := p.fillChildren(ctx, snap, doc, rootRow.id, node); err != nil {
-		return nil, err
-	}
-	return node, nil
 }
 
-func (p *Publisher) fillChildren(ctx context.Context, snap *sqldb.Snap, doc, id int64, node *xmltree.Node) error {
-	// One child query per element: the statements are too small to reach the
-	// executor's poll interval, so the recursion checks the context itself.
-	if err := govern.CtxErr(ctx); err != nil {
-		return err
-	}
-	res, err := p.children.QueryAtCtx(ctx, snap, sqldb.I(doc), sqldb.I(id))
+// subtreeGlobal streams the order index from the root's key. In pre-order
+// every node of the subtree follows its parent, and the first node after
+// the subtree has its parent outside it, so the scan stops at the first row
+// whose parent is not linked yet. Gaps left by deletes or by gap numbering
+// do not matter: the rule looks at parents, not at key values.
+func (p *Publisher) subtreeGlobal(ctx context.Context, snap *sqldb.Snap, doc int64, rootRow nodeRow) (_ *xmltree.Node, err error) {
+	rows, err := snap.QueryRows(ctx, p.fromKey, sqldb.I(doc), rootRow.order)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, r := range res.Rows {
-		nr, err := decodeRow(r)
+	defer func() {
+		if cerr := rows.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	var b preOrder
+	for rows.Next() {
+		nr, err := decodeRow(rows.Row())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		child := nr.toNode()
-		attach(node, child)
-		if err := p.fillChildren(ctx, snap, doc, nr.id, child); err != nil {
-			return err
+		if b.root == nil && nr.id != rootRow.id {
+			return nil, fmt.Errorf("order key %v starts at node %d, not at subtree root %d", rootRow.order, nr.id, rootRow.id)
+		}
+		if !b.add(nr) {
+			break
 		}
 	}
-	return nil
+	if err := rows.Err(); err != nil {
+		return nil, err
+	}
+	if b.root == nil {
+		return nil, fmt.Errorf("document %d has no order key %v", doc, rootRow.order)
+	}
+	return b.root, nil
+}
+
+// subtreeLocal fetches the subtree one level at a time: the children of a
+// level's elements, localChunk parents per statement, arrive ordered by
+// parent and then sibling order, so each parent's children are appended in
+// document order.
+func (p *Publisher) subtreeLocal(ctx context.Context, snap *sqldb.Snap, doc int64, rootRow nodeRow) (*xmltree.Node, error) {
+	root := rootRow.toNode()
+	var ids []int64 // the level's elements, in the order they were fetched
+	if rootRow.kind == xmltree.Element {
+		ids = []int64{rootRow.id}
+	}
+	elems := map[int64]*xmltree.Node{rootRow.id: root}
+	params := make([]sqltypes.Value, 1+localChunk)
+	params[0] = sqldb.I(doc)
+	for len(ids) > 0 {
+		if err := govern.CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		var next []int64
+		for start := 0; start < len(ids); start += localChunk {
+			chunk := ids[start:min(start+localChunk, len(ids))]
+			for i := range localChunk {
+				params[1+i] = sqldb.I(chunk[min(i, len(chunk)-1)])
+			}
+			res, err := p.levelRows.QueryAtCtx(ctx, snap, params...)
+			if err != nil {
+				return nil, err
+			}
+			for _, r := range res.Rows {
+				nr, err := decodeRow(r)
+				if err != nil {
+					return nil, err
+				}
+				child := nr.toNode()
+				attach(elems[nr.parent], child)
+				if nr.kind == xmltree.Element {
+					elems[nr.id] = child
+					next = append(next, nr.id)
+				}
+			}
+		}
+		ids = next
+	}
+	return root, nil
 }
 
 // subtreeDewey extracts the subtree with one path-prefix range scan.

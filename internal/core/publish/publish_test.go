@@ -1,11 +1,13 @@
 package publish
 
 import (
+	"strings"
 	"testing"
 
 	"ordxml/internal/core/encoding"
 	"ordxml/internal/core/shred"
 	"ordxml/internal/sqldb"
+	"ordxml/internal/sqlgen"
 	"ordxml/internal/xmltree"
 )
 
@@ -122,5 +124,63 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(db, encoding.Options{Kind: encoding.Global}); err == nil {
 		t.Error("uninstalled encoding accepted")
+	}
+}
+
+// TestSubtreeStatementCounts pins the set-based publisher's statement
+// counts: Global and Dewey read a subtree with one lookup plus one interval
+// scan; Local needs one lookup plus one statement per localChunk parents of
+// each tree level that has elements, whatever their number of children.
+func TestSubtreeStatementCounts(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < 100; i++ {
+		sb.WriteString(`<i n="x"><j>t</j></i>`)
+	}
+	sb.WriteString("</r>")
+	xml := sb.String()
+	for _, tc := range []struct {
+		opts encoding.Options
+		want int64
+	}{
+		{encoding.Options{Kind: encoding.Global}, 2},
+		{encoding.Options{Kind: encoding.Global, Gap: 64}, 2},
+		{encoding.Options{Kind: encoding.Dewey}, 2},
+		// r, then 100 i (2 chunks), then 100 j (2 chunks).
+		{encoding.Options{Kind: encoding.Local}, 1 + 1 + 2 + 2},
+	} {
+		p, doc, db := setup(t, tc.opts, xml)
+		queries := func() int64 { return db.Metrics().Counters["sqldb.queries"] }
+		for round := 0; round < 2; round++ {
+			before, misses := queries(), db.PlanCacheStats().Misses
+			sub, err := p.Subtree(doc, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sub.String(); got != xml {
+				t.Fatalf("%s: subtree = %s", tc.opts.Kind, got)
+			}
+			if got := queries() - before; got != tc.want {
+				t.Errorf("%s: %d statements, want %d", tc.opts.Kind, got, tc.want)
+			}
+			if round == 1 && db.PlanCacheStats().Misses != misses {
+				t.Errorf("%s: repeated publish missed the plan cache", tc.opts.Kind)
+			}
+		}
+	}
+}
+
+// TestLocalLevelPlan: the shape of the Local level statement plans as one
+// index multi-seek over (doc, parent, lorder) whose order satisfies ORDER BY
+// parent, lorder.
+func TestLocalLevelPlan(t *testing.T) {
+	_, _, db := setup(t, encoding.Options{Kind: encoding.Local}, "<a/>")
+	plan, err := db.Explain(sqlgen.SQL(`SELECT id, lorder FROM xl_nodes WHERE doc = ? AND parent IN (%s) ORDER BY parent, lorder`,
+		sqlgen.Placeholders(localChunk)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "IndexScan xl_nodes using xl_nodes_parent doc=? parent IN (?") || strings.Contains(plan, "Sort") {
+		t.Errorf("level plan:\n%s", plan)
 	}
 }

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -39,10 +40,11 @@ func evalFor(t *testing.T, opts encoding.Options) (*Evaluator, int64) {
 func sqlFor(t *testing.T, opts encoding.Options, query string) []string {
 	t.Helper()
 	ev, doc := evalFor(t, opts)
-	if _, err := ev.Query(doc, query); err != nil {
+	_, sqls, err := ev.QuerySQL(context.Background(), doc, query)
+	if err != nil {
 		t.Fatalf("%s: %v", query, err)
 	}
-	return ev.LastSQL()
+	return sqls
 }
 
 func TestChainSQLChildPath(t *testing.T) {

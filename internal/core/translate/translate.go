@@ -60,11 +60,11 @@ type Evaluator struct {
 	tbl  string
 	ord  string
 
-	// mu guards the prepared-statement cache and lastSQL; per-query scratch
-	// state lives in a run value so concurrent readers never share it.
-	mu      sync.Mutex
-	stmts   map[string]*sqldb.Stmt
-	lastSQL []string
+	// mu guards the prepared-statement cache; per-query scratch state
+	// (including the generated SQL) lives in a run value so concurrent
+	// readers never share it.
+	mu    sync.Mutex
+	stmts map[string]*sqldb.Stmt
 
 	parentStmt *sqldb.Stmt
 	nodeStmt   *sqldb.Stmt
@@ -210,22 +210,12 @@ func New(db *sqldb.DB, opts encoding.Options) (*Evaluator, error) {
 // Options returns the evaluator's encoding options.
 func (e *Evaluator) Options() encoding.Options { return e.opts }
 
-// LastSQL returns the SQL statements generated by the most recent Query, in
-// execution order (deduplicated per segment; per-context executions reuse
-// one statement). With concurrent queries it reflects whichever finished
-// last.
-func (e *Evaluator) LastSQL() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]string(nil), e.lastSQL...)
-}
-
 // Query parses and evaluates an absolute XPath expression against one
 // document, returning matches in document order. The whole evaluation runs
 // against one pinned storage snapshot, so concurrent updates are invisible
 // to a query in flight.
 func (e *Evaluator) Query(doc int64, path string) ([]NodeRef, error) {
-	refs, _, err := e.queryTraced(context.Background(), doc, path, nil)
+	refs, _, _, err := e.queryTraced(context.Background(), doc, path, nil)
 	return refs, err
 }
 
@@ -233,21 +223,30 @@ func (e *Evaluator) Query(doc int64, path string) ([]NodeRef, error) {
 // is enabled the whole pipeline (parse, translate, every SQL statement with
 // planner and operator spans, post, sort) records one span tree.
 func (e *Evaluator) QueryCtx(ctx context.Context, doc int64, path string) ([]NodeRef, error) {
-	refs, _, err := e.queryTraced(ctx, doc, path, nil)
+	refs, _, _, err := e.queryTraced(ctx, doc, path, nil)
 	return refs, err
+}
+
+// QuerySQL is QueryCtx that also returns the SQL statements this evaluation
+// generated, in execution order (deduplicated per segment; per-context
+// executions reuse one statement). The statements belong to this call
+// alone, however many queries run concurrently.
+func (e *Evaluator) QuerySQL(ctx context.Context, doc int64, path string) ([]NodeRef, []string, error) {
+	refs, _, sqls, err := e.queryTraced(ctx, doc, path, nil)
+	return refs, sqls, err
 }
 
 // QueryAt evaluates a path against an externally pinned snapshot, letting a
 // caller compose the query with other snapshot reads (e.g. value extraction)
 // at the same version.
 func (e *Evaluator) QueryAt(snap *sqldb.Snap, doc int64, path string) ([]NodeRef, error) {
-	refs, _, err := e.queryTraced(context.Background(), doc, path, snap)
+	refs, _, _, err := e.queryTraced(context.Background(), doc, path, snap)
 	return refs, err
 }
 
 // QueryAtCtx is QueryAt with a caller context (see QueryCtx).
 func (e *Evaluator) QueryAtCtx(ctx context.Context, snap *sqldb.Snap, doc int64, path string) ([]NodeRef, error) {
-	refs, _, err := e.queryTraced(ctx, doc, path, snap)
+	refs, _, _, err := e.queryTraced(ctx, doc, path, snap)
 	return refs, err
 }
 
@@ -255,10 +254,13 @@ func (e *Evaluator) QueryAtCtx(ctx context.Context, snap *sqldb.Snap, doc int64,
 // per-stage wall-time breakdown of this evaluation (parse, translate, exec,
 // post, sort). Stage durations also feed the xpath.stage.* histograms.
 func (e *Evaluator) QueryTraced(doc int64, path string) ([]NodeRef, []obs.Stage, error) {
-	return e.queryTraced(context.Background(), doc, path, nil)
+	refs, stages, _, err := e.queryTraced(context.Background(), doc, path, nil)
+	return refs, stages, err
 }
 
-func (e *Evaluator) queryTraced(ctx context.Context, doc int64, path string, snap *sqldb.Snap) ([]NodeRef, []obs.Stage, error) {
+// queryTraced evaluates path, returning the matches, the per-stage timings
+// and the generated SQL.
+func (e *Evaluator) queryTraced(ctx context.Context, doc int64, path string, snap *sqldb.Snap) ([]NodeRef, []obs.Stage, []string, error) {
 	var root *obs.ActiveSpan
 	if obs.FromContext(ctx) == nil {
 		ctx, root = e.db.Tracer().StartRoot(ctx, "xpath.query")
@@ -273,29 +275,31 @@ func (e *Evaluator) queryTraced(ctx context.Context, doc int64, path string, sna
 	psp.End()
 	sp.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	refs, err := e.queryPath(ctx, doc, p, tr, snap)
+	refs, sqls, err := e.queryPath(ctx, doc, p, tr, snap)
 	e.met.record(time.Since(start), tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if root != nil {
 		root.Arg("results", int64(len(refs)))
 	}
-	return refs, tr.Stages(), nil
+	return refs, tr.Stages(), sqls, nil
 }
 
 // QueryPath evaluates a parsed path.
 func (e *Evaluator) QueryPath(doc int64, p *xpath.Path) ([]NodeRef, error) {
 	tr := obs.NewTrace()
 	start := time.Now()
-	refs, err := e.queryPath(context.Background(), doc, p, tr, nil)
+	refs, _, err := e.queryPath(context.Background(), doc, p, tr, nil)
 	e.met.record(time.Since(start), tr)
 	return refs, err
 }
 
-func (e *Evaluator) queryPath(ctx context.Context, doc int64, p *xpath.Path, tr *obs.Trace, snap *sqldb.Snap) ([]NodeRef, error) {
+// queryPath evaluates a parsed path, returning the matches and the SQL the
+// evaluation generated.
+func (e *Evaluator) queryPath(ctx context.Context, doc int64, p *xpath.Path, tr *obs.Trace, snap *sqldb.Snap) ([]NodeRef, []string, error) {
 	if snap == nil {
 		snap = e.db.Snapshot()
 	}
@@ -314,7 +318,7 @@ func (e *Evaluator) queryPath(ctx context.Context, doc int64, p *xpath.Path, tr 
 	tsp.End()
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var nodes []NodeRef
 	first := true
@@ -324,18 +328,15 @@ func (e *Evaluator) queryPath(ctx context.Context, doc int64, p *xpath.Path, tr 
 		nodes, err = r.runSegment(doc, seg, nodes, first)
 		segSp.End()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		first = false
 		if len(nodes) == 0 {
 			break
 		}
 	}
-	e.mu.Lock()
-	e.lastSQL = r.sqls
-	e.mu.Unlock()
 	if len(nodes) == 0 {
-		return nil, nil
+		return nil, r.sqls, nil
 	}
 	sp = tr.Start(StageSort)
 	ssp := obs.FromContext(ctx).StartChild("sort")
@@ -343,9 +344,9 @@ func (e *Evaluator) queryPath(ctx context.Context, doc int64, p *xpath.Path, tr 
 	ssp.End()
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return nodes, nil
+	return nodes, r.sqls, nil
 }
 
 // segment is a run of steps compiled into one SQL statement. ancestryCheck

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -89,7 +90,7 @@ func (ld *loadedDoc) check(t *testing.T, query string) {
 	for i, n := range oracle {
 		want[i] = ld.ids[n]
 	}
-	got, err := ld.eval.Query(ld.docID, query)
+	got, sqls, err := ld.eval.QuerySQL(context.Background(), ld.docID, query)
 	if err != nil {
 		t.Fatalf("%s: translate %q: %v", optName(ld.eval.opts), query, err)
 	}
@@ -99,12 +100,12 @@ func (ld *loadedDoc) check(t *testing.T, query string) {
 	}
 	if len(gotIDs) != len(want) {
 		t.Fatalf("%s: %q: got %v, want %v\nSQL: %v",
-			optName(ld.eval.opts), query, gotIDs, want, ld.eval.LastSQL())
+			optName(ld.eval.opts), query, gotIDs, want, sqls)
 	}
 	for i := range want {
 		if gotIDs[i] != want[i] {
 			t.Fatalf("%s: %q: got %v, want %v\nSQL: %v",
-				optName(ld.eval.opts), query, gotIDs, want, ld.eval.LastSQL())
+				optName(ld.eval.opts), query, gotIDs, want, sqls)
 		}
 	}
 }
@@ -351,15 +352,15 @@ func TestEvaluatorErrors(t *testing.T) {
 	}
 }
 
-func TestLastSQLExposed(t *testing.T) {
+func TestQuerySQLExposed(t *testing.T) {
 	tree, _ := xmltree.ParseString("<a><b><c/></b></a>")
 	ld := load(t, encoding.Options{Kind: encoding.Dewey}, tree)
-	if _, err := ld.eval.Query(ld.docID, "/a/b/c"); err != nil {
+	_, sqls, err := ld.eval.QuerySQL(context.Background(), ld.docID, "/a/b/c")
+	if err != nil {
 		t.Fatal(err)
 	}
-	sqls := ld.eval.LastSQL()
 	if len(sqls) != 1 {
-		t.Fatalf("LastSQL = %v", sqls)
+		t.Fatalf("QuerySQL statements = %v", sqls)
 	}
 	if got := sqls[0]; !contains(got, "xd_nodes n3") || !contains(got, "ORDER BY n3.path") {
 		t.Errorf("generated SQL unexpected: %s", got)

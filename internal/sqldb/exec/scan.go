@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"ordxml/internal/sqldb/catalog"
 	"ordxml/internal/sqldb/expr"
@@ -107,7 +108,10 @@ func passesAll(filters []expr.Expr, env *expr.Env) (bool, error) {
 
 // indexScanOp streams rows matching an index range. A parallel scan shares
 // one index cursor among the Gather's workers: each worker pulls RID batches
-// under the cursor's lock and performs the heap fetches concurrently.
+// under the cursor's lock and performs the heap fetches concurrently. An IN
+// multi-seek runs its seeks one after another: seekKey is the equality key
+// of the current seek (the prefix plus one IN value) and inKeys holds the IN
+// values still to seek.
 type indexScanOp struct {
 	node  *plan.IndexScan
 	env   *expr.Env
@@ -117,6 +121,9 @@ type indexScanOp struct {
 	buf   sqltypes.Row
 	gov   *govTick
 
+	seekKey []sqltypes.Value
+	inKeys  []sqltypes.Value
+
 	shared *gatherShared
 	cursor *ridCursor
 	batch  []heap.RID
@@ -125,7 +132,7 @@ type indexScanOp struct {
 
 func newIndexScan(n *plan.IndexScan, params []sqltypes.Value, env buildEnv) *indexScanOp {
 	s := &indexScanOp{node: n, env: &expr.Env{Params: params}, data: env.data(n.Table), gov: env.newTick()}
-	if n.Parallel && env.shared != nil {
+	if n.Parallel && env.shared != nil && n.In == nil {
 		s.shared = env.shared
 	}
 	return s
@@ -164,6 +171,14 @@ func (s *indexScanOp) openIter() (*catalog.IndexIter, error) {
 		}
 		eq[i] = *v
 	}
+	if s.node.In != nil {
+		keys, err := s.inValues(len(eq))
+		if err != nil || len(keys) == 0 {
+			return nil, err
+		}
+		s.seekKey, s.inKeys = append(eq, keys[0]), keys[1:]
+		return s.data.IndexIter(s.node.Index, s.seekKey, nil, nil, false, false), nil
+	}
 	var low, high *sqltypes.Value
 	if s.node.Low != nil {
 		v, err := s.bound(s.node.Low, len(eq))
@@ -188,12 +203,52 @@ func (s *indexScanOp) openIter() (*catalog.IndexIter, error) {
 	return s.data.IndexIter(s.node.Index, eq, low, high, s.node.LowExcl, s.node.HighExcl), nil
 }
 
+// inValues evaluates the IN list into the distinct values that can equal a
+// value of index column col, coerced to the column's type and sorted in key
+// order. NULL items match nothing, and so does an item whose coercion fails
+// or changes its value (2.5 or '7' against an INT column): the seeks then
+// find exactly the rows the IN predicate would accept as a filter.
+func (s *indexScanOp) inValues(col int) ([]sqltypes.Value, error) {
+	t := s.node.Table.Columns[s.node.Index.Columns[col]].Type
+	keys := make([]sqltypes.Value, 0, len(s.node.In))
+	for _, e := range s.node.In {
+		v, err := expr.Eval(e, s.env)
+		if err != nil {
+			return nil, err
+		}
+		if v.IsNull() {
+			continue
+		}
+		cv, err := sqltypes.Coerce(v, t)
+		if err != nil || sqltypes.Compare(cv, v) != 0 {
+			continue
+		}
+		keys = append(keys, cv)
+	}
+	slices.SortFunc(keys, sqltypes.Compare)
+	return slices.CompactFunc(keys, func(a, b sqltypes.Value) bool {
+		return sqltypes.Compare(a, b) == 0
+	}), nil
+}
+
+// nextSeek moves an IN multi-seek to its next value; false means every
+// value has been sought.
+func (s *indexScanOp) nextSeek() bool {
+	if len(s.inKeys) == 0 {
+		return false
+	}
+	s.seekKey[len(s.seekKey)-1], s.inKeys = s.inKeys[0], s.inKeys[1:]
+	s.iter = s.data.IndexIter(s.node.Index, s.seekKey, nil, nil, false, false)
+	return true
+}
+
 func (s *indexScanOp) Open() error {
 	s.empty = false
 	s.iter = nil
 	s.cursor = nil
 	s.batch = nil
 	s.pos = 0
+	s.seekKey, s.inKeys = nil, nil
 	if s.shared != nil {
 		cur, err := s.shared.ridCursor(s.node, s.openIter)
 		if err != nil {
@@ -241,6 +296,9 @@ func (s *indexScanOp) Next() (sqltypes.Row, bool, error) {
 		} else {
 			r, ok := s.iter.Next()
 			if !ok {
+				if s.nextSeek() {
+					continue
+				}
 				return nil, false, nil
 			}
 			rid = r

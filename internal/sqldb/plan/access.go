@@ -17,6 +17,7 @@ type candidate struct {
 	lowEx  bool
 	high   expr.Expr
 	highEx bool
+	in     []expr.Expr // non-nil for col IN (const, ...)
 	// exact reports whether using the candidate as an index bound fully
 	// subsumes the conjunct (false for LIKE with a non-trivial suffix).
 	exact bool
@@ -48,6 +49,18 @@ func classify(c expr.Expr) *candidate {
 		case expr.OpLike:
 			return classifyLike(c, col, other)
 		}
+	case *expr.In:
+		// NOT IN, and lists with a row-dependent item, stay residual filters.
+		col, ok := x.X.(*expr.ColRef)
+		if !ok || x.Not {
+			return nil
+		}
+		for _, item := range x.List {
+			if !isConstExpr(item) {
+				return nil
+			}
+		}
+		return &candidate{conj: c, col: col.Idx, in: x.List, exact: true}
 	case *expr.Between:
 		if x.Not {
 			return nil
@@ -145,14 +158,15 @@ func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.Order
 		ix      *catalog.Index
 		eq      []expr.Expr
 		eqCands []int
+		inIdx   int // candidate supplying an IN list on the next column, or -1
 		lowIdx  int // candidate supplying the lower bound, or -1
 		highIdx int // candidate supplying the upper bound, or -1
 		score   int
 		ordered bool
 	}
-	best := choice{lowIdx: -1, highIdx: -1}
+	best := choice{inIdx: -1, lowIdx: -1, highIdx: -1}
 	for _, ix := range e.indexes {
-		ch := choice{ix: ix, lowIdx: -1, highIdx: -1}
+		ch := choice{ix: ix, inIdx: -1, lowIdx: -1, highIdx: -1}
 		usedCand := map[int]bool{}
 		// Longest equality prefix.
 		for _, col := range ix.Columns {
@@ -170,12 +184,20 @@ func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.Order
 			ch.eq = append(ch.eq, cands[found].eq)
 			ch.eqCands = append(ch.eqCands, found)
 		}
-		// Range on the next index column: a lower and an upper bound may
-		// come from different conjuncts (col >= ? AND col < ?).
+		// An IN list on the next index column becomes one seek per listed
+		// value; otherwise a range on that column: a lower and an upper
+		// bound may come from different conjuncts (col >= ? AND col < ?).
 		if len(ch.eq) < len(ix.Columns) {
 			next := ix.Columns[len(ch.eq)]
 			for ci, cand := range cands {
-				if cand == nil || usedCand[ci] || cand.col != next || cand.eq != nil {
+				if cand != nil && !usedCand[ci] && cand.col == next && cand.in != nil {
+					ch.inIdx = ci
+					usedCand[ci] = true
+					break
+				}
+			}
+			for ci, cand := range cands {
+				if ch.inIdx >= 0 || cand == nil || usedCand[ci] || cand.col != next || cand.eq != nil {
 					continue
 				}
 				took := false
@@ -196,6 +218,9 @@ func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.Order
 			}
 		}
 		ch.score = len(ch.eq) * 4
+		if ch.inIdx >= 0 {
+			ch.score += 3
+		}
 		if ch.lowIdx >= 0 {
 			ch.score++
 		}
@@ -230,6 +255,10 @@ func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.Order
 	consumed := map[int]bool{}
 	for _, ci := range best.eqCands {
 		consumed[ci] = true
+	}
+	if best.inIdx >= 0 {
+		scan.In = cands[best.inIdx].in
+		consumed[best.inIdx] = true
 	}
 	if best.lowIdx >= 0 {
 		cand := cands[best.lowIdx]

@@ -149,16 +149,22 @@ func (s *SeqScan) describe(b *strings.Builder) {
 }
 
 // IndexScan reads rows via an index: an equality prefix over the first
-// len(Eq) index columns, then an optional range on the next column. Eq, Low
-// and High are row-independent expressions (literals, parameters, arithmetic
-// over them) evaluated once at open time.
+// len(Eq) index columns, then either an IN list or an optional range on the
+// next column. Eq, In, Low and High are row-independent expressions
+// (literals, parameters, arithmetic over them) evaluated once at open time.
+//
+// An IN list makes the scan a multi-seek: one index seek per distinct listed
+// value, in ascending value order, so the rows still come out ordered by the
+// index columns after the equality prefix. A multi-seek has no range bounds
+// and is never Parallel.
 type IndexScan struct {
 	Table    *catalog.Table
 	Alias    string
 	Index    *catalog.Index
 	Eq       []expr.Expr
-	Low      expr.Expr // nil = unbounded
-	High     expr.Expr // nil = unbounded
+	In       []expr.Expr // nil = no IN list
+	Low      expr.Expr   // nil = unbounded
+	High     expr.Expr   // nil = unbounded
 	LowExcl  bool
 	HighExcl bool
 	Filters  []expr.Expr
@@ -185,6 +191,16 @@ func (s *IndexScan) describe(b *strings.Builder) {
 	names := s.Index.ColumnNames()
 	for i, e := range s.Eq {
 		fmt.Fprintf(b, " %s=%s", names[i], e)
+	}
+	if s.In != nil {
+		fmt.Fprintf(b, " %s IN (", names[len(s.Eq)])
+		for i, e := range s.In {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(e.String())
+		}
+		b.WriteByte(')')
 	}
 	if s.Low != nil {
 		op := ">="

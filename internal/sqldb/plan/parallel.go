@@ -73,7 +73,8 @@ func gatherChain(n Node, pc Context, opts Options) Node {
 
 // chainLeaf returns the scan at the bottom of a pure Project/Filter chain,
 // or nil when the subtree has any other shape. DML scans (EmitRID) are
-// excluded: updates and deletes must observe live storage serially.
+// excluded: updates and deletes must observe live storage serially. So are
+// IN multi-seeks, whose seeks run one after another on one cursor.
 func chainLeaf(n Node) Node {
 	for {
 		switch x := n.(type) {
@@ -87,7 +88,7 @@ func chainLeaf(n Node) Node {
 			}
 			return x
 		case *IndexScan:
-			if x.EmitRID {
+			if x.EmitRID || x.In != nil {
 				return nil
 			}
 			return x
@@ -139,6 +140,9 @@ func estimateRows(n Node, pc Context) int {
 		}
 		rows := pc.TableRows(x.Table)
 		for range x.Eq {
+			rows /= 4
+		}
+		if x.In != nil {
 			rows /= 4
 		}
 		if x.Low != nil || x.High != nil {

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"ordxml/internal/govern"
 	"ordxml/internal/obs"
@@ -23,14 +24,21 @@ import (
 // pinned view so the snapshot can be reclaimed; it is idempotent and safe
 // after Next has returned false. The sqldb.cursors.open gauge counts live
 // cursors, so a leak shows up in metrics before it shows up as memory.
+//
+// A cursor is one statement in the query metrics (sqldb.queries, the latency
+// histogram, the slow-query log), recorded once at Close with the rows it
+// returned, its open-to-close wall time and its iteration error.
 type Rows struct {
-	db   *DB
-	op   exec.Operator
-	cols []string
-	v    *catalog.View // pins the snapshot while the cursor is open
-	gov  *govTickProxy
+	db    *DB
+	op    exec.Operator
+	cols  []string
+	v     *catalog.View // pins the snapshot while the cursor is open
+	gov   *govTickProxy
+	sql   string
+	start time.Time
 
 	cur    sqltypes.Row
+	n      int // rows returned so far
 	err    error
 	done   bool
 	closed bool
@@ -73,11 +81,16 @@ func (s *Snap) QueryRows(ctx context.Context, sql string, params ...sqltypes.Val
 }
 
 func (db *DB) queryRowsAt(ctx context.Context, v *catalog.View, sql string, params []sqltypes.Value) (rows *Rows, err error) {
+	start := time.Now()
 	// Same statement-boundary containment as queryAt: a panic while planning
-	// or opening the tree fails the statement, not the process.
+	// or opening the tree fails the statement, not the process. A cursor
+	// that never opens is recorded here; an open one records at Close.
 	defer func() {
 		if p := recover(); p != nil {
 			rows, err = nil, govern.Recovered(p)
+		}
+		if err != nil {
+			db.metrics.recordQuery(sql, time.Since(start), 0, err)
 		}
 	}()
 	node, ex, err := db.selectPlan(v, sql, nil)
@@ -105,7 +118,7 @@ func (db *DB) queryRowsAt(ctx context.Context, v *catalog.View, sql string, para
 		gov = &govTickProxy{ctx: ctx, mem: mem}
 	}
 	db.openCursors.Add(1)
-	return &Rows{db: db, op: op, cols: cols, v: v, gov: gov}, nil
+	return &Rows{db: db, op: op, cols: cols, v: v, gov: gov, sql: sql, start: start}, nil
 }
 
 // Columns returns the result column names.
@@ -134,6 +147,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	r.cur = row
+	r.n++
 	return true
 }
 
@@ -157,7 +171,8 @@ func (r *Rows) Err() error { return r.err }
 // Close releases the cursor: it stops and reaps Gather workers (even on a
 // partially-consumed parallel query), releases operator buffers, and unpins
 // the snapshot view. Idempotent; returns the iteration error, if any, so
-// `defer rows.Close()` callers who check Err lose nothing.
+// `defer rows.Close()` callers who check Err lose nothing. The first Close
+// records the statement in the query metrics.
 func (r *Rows) Close() error {
 	if r.closed {
 		return r.err
@@ -165,6 +180,7 @@ func (r *Rows) Close() error {
 	r.closed = true
 	r.op.Close()
 	r.db.openCursors.Add(-1)
+	r.db.metrics.recordQuery(r.sql, time.Since(r.start), r.n, r.err)
 	r.cur, r.v = nil, nil
 	return r.err
 }

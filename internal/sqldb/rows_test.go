@@ -166,3 +166,78 @@ func TestQueryAbortsReleaseWorkersUnderRace(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 }
+
+// TestQueryRowsRecordedOnce checks that a streaming cursor counts as exactly
+// one statement in the query metrics — sqldb.queries, the latency histogram
+// and, at a 1ns threshold, the slow-query log with the rows it returned —
+// whether it is drained, closed early or fails, and that a second Close
+// records nothing more.
+func TestQueryRowsRecordedOnce(t *testing.T) {
+	const sql = `SELECT id, v FROM t`
+	cases := []struct {
+		name     string
+		budget   int64
+		stopAt   int // close after this many rows; 0 drains
+		wantRows int
+		wantErr  error
+	}{
+		{name: "drained", wantRows: 300},
+		{name: "closed_early", stopAt: 7, wantRows: 7},
+		{name: "failed", budget: 1024, wantErr: govern.ErrMemoryBudget},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := concurrentFixture(t, 300)
+			db.SetMemoryBudget(tc.budget)
+			db.SetSlowQueryThreshold(time.Nanosecond)
+			before := db.Metrics()
+			rows, err := db.QueryRows(context.Background(), sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for rows.Next() {
+				n++
+				if n == tc.stopAt {
+					break
+				}
+			}
+			if got := db.Metrics().Counters["sqldb.queries"]; got != before.Counters["sqldb.queries"] {
+				t.Fatalf("cursor recorded before Close: %d -> %d", before.Counters["sqldb.queries"], got)
+			}
+			err = rows.Close()
+			rows.Close()
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Close = %v, want %v", err, tc.wantErr)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			after := db.Metrics()
+			if d := after.Counters["sqldb.queries"] - before.Counters["sqldb.queries"]; d != 1 {
+				t.Errorf("sqldb.queries delta = %d, want 1", d)
+			}
+			if d := after.Histograms["sqldb.query.latency"].Count - before.Histograms["sqldb.query.latency"].Count; d != 1 {
+				t.Errorf("latency observations delta = %d, want 1", d)
+			}
+			wantErrs := int64(0)
+			if tc.wantErr != nil {
+				wantErrs = 1
+			}
+			if d := after.Counters["sqldb.query.errors"] - before.Counters["sqldb.query.errors"]; d != wantErrs {
+				t.Errorf("sqldb.query.errors delta = %d, want %d", d, wantErrs)
+			}
+			slow := db.SlowQueries()
+			if tc.wantErr != nil {
+				if len(slow) != 0 {
+					t.Errorf("failed cursor logged as slow: %+v", slow)
+				}
+				return
+			}
+			if len(slow) != 1 || slow[0].SQL != sql || slow[0].Rows != tc.wantRows {
+				t.Errorf("slow log = %+v, want one %q entry with %d rows", slow, sql, tc.wantRows)
+			}
+		})
+	}
+}

@@ -27,21 +27,40 @@ import (
 // identifier that needs quoting has no business in this schema.
 var identRe = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
 
+// paramListRe matches a bind-parameter list as Placeholders renders it.
+var paramListRe = regexp.MustCompile(`^\?(, \?)*$`)
+
 // SQL renders a statement template. Every %s placeholder is substituted with
-// the corresponding identifier argument; each argument must be a valid
-// identifier or a comma-separated identifier list (for column lists). Any
-// other format verb, a placeholder/argument count mismatch, or an invalid
-// identifier panics: statement templates are compiled-in and prepared at
-// startup, so a bad one is a programming error, not a runtime condition.
+// the corresponding argument; each argument must be a valid identifier, a
+// comma-separated identifier list (for column lists) or a bind-parameter
+// list from Placeholders. Any other format verb, a placeholder/argument
+// count mismatch, or an invalid argument panics: statement templates are
+// compiled-in and prepared at startup, so a bad one is a programming error,
+// not a runtime condition.
 func SQL(format string, idents ...string) string {
 	if n := countPlaceholders(format); n != len(idents) {
 		panic(fmt.Sprintf("sqlgen.SQL: template has %d %%s placeholders but %d identifiers given: %q", n, len(idents), format))
 	}
 	args := make([]any, len(idents))
 	for i, id := range idents {
+		if paramListRe.MatchString(id) {
+			args[i] = id
+			continue
+		}
 		args[i] = IdentList(id)
 	}
 	return fmt.Sprintf(format, args...)
+}
+
+// Placeholders returns a list of n bind parameters ("?, ?, ?") for an
+// IN (%s) slot of a SQL template. The statement text depends on n only, so
+// a fixed n keeps one plan-cache entry however the bound values vary. It
+// panics for n < 1.
+func Placeholders(n int) string {
+	if n < 1 {
+		panic(fmt.Sprintf("sqlgen.Placeholders: n = %d, want at least 1", n))
+	}
+	return strings.Repeat("?, ", n-1) + "?"
 }
 
 // Ident validates a single SQL identifier and returns it unchanged. It

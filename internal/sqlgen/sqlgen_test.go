@@ -76,3 +76,20 @@ func TestList(t *testing.T) {
 	}
 	mustPanic(t, "bad element", func() { List("id", "pa rent") })
 }
+
+func TestPlaceholders(t *testing.T) {
+	if got := Placeholders(1); got != "?" {
+		t.Fatalf("Placeholders(1) = %q", got)
+	}
+	got := SQL(`SELECT id FROM %s WHERE parent IN (%s)`, "xl_nodes", Placeholders(3))
+	if want := `SELECT id FROM xl_nodes WHERE parent IN (?, ?, ?)`; got != want {
+		t.Fatalf("SQL = %q, want %q", got, want)
+	}
+	mustPanic(t, "zero", func() { Placeholders(0) })
+	mustPanic(t, "value in list", func() {
+		SQL(`SELECT id FROM t WHERE parent IN (%s)`, "?, 1")
+	})
+	mustPanic(t, "stray placeholder", func() {
+		SQL(`SELECT %s FROM t`, "id, ?")
+	})
+}

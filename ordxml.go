@@ -424,12 +424,16 @@ func (s *Store) QueryValuesCtx(ctx context.Context, doc DocID, xpathExpr string)
 }
 
 // ExplainQuery returns the SQL statements the store generates for a query
-// (one per path segment), without executing the post-processing steps.
+// (one per path segment). It evaluates the query to collect them, under the
+// same admission, session timeout and memory budget as Query.
 func (s *Store) ExplainQuery(doc DocID, xpathExpr string) ([]string, error) {
-	if _, err := s.evaluator.Query(doc, xpathExpr); err != nil {
+	ctx, end, err := s.beginRead(context.Background())
+	if err != nil {
 		return nil, err
 	}
-	return append([]string(nil), s.evaluator.LastSQL()...), nil
+	defer end()
+	_, sqls, err := s.evaluator.QuerySQL(ctx, doc, xpathExpr)
+	return sqls, err
 }
 
 // Serialize reconstructs the subtree rooted at id as XML.

@@ -1,8 +1,13 @@
 package ordxml
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 const testDoc = `<PLAY><TITLE>Hamlet</TITLE>
@@ -165,6 +170,75 @@ func TestExplainQuery(t *testing.T) {
 	}
 	if !strings.Contains(sqls[0], "xd_nodes") {
 		t.Errorf("SQL = %s", sqls[0])
+	}
+}
+
+// TestExplainQueryConcurrent: two goroutines explain different paths on one
+// store at once, and each must get exactly its own path's statements. The
+// statements come from the evaluation itself, not from evaluator-wide state
+// another query may have overwritten.
+func TestExplainQueryConcurrent(t *testing.T) {
+	s, err := Open(Options{Encoding: Global})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := s.LoadString("big", bigDoc(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"/R/item/k", "/R/item[2]/following-sibling::item/v"}
+	want := make([][]string, len(paths))
+	for i, p := range paths {
+		if want[i], err = s.ExplainQuery(doc, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reflect.DeepEqual(want[0], want[1]) {
+		t.Fatalf("test paths generate the same SQL: %v", want[0])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(paths))
+	for i, p := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				got, err := s.ExplainQuery(doc, p)
+				if err == nil && !reflect.DeepEqual(got, want[i]) {
+					err = fmt.Errorf("ExplainQuery(%q) = %v, want %v", p, got, want[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestExplainQueryGoverned: ExplainQuery evaluates the query, so it runs
+// under the session query timeout like Query does.
+func TestExplainQueryGoverned(t *testing.T) {
+	s, err := Open(Options{Encoding: Dewey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := s.LoadString("big", bigDoc(1500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetQueryTimeout(time.Nanosecond)
+	if _, err := s.ExplainQuery(doc, "/R/item"); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
+	}
+	s.SetQueryTimeout(0)
+	if _, err := s.ExplainQuery(doc, "/R/item"); err != nil {
+		t.Fatal(err)
 	}
 }
 
